@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Chaos-campaign smoke: runs the seeded 500-fault campaign (tools/chaoscamp)
-# against the live DaS stack with concurrent recovery on, and fails if:
+# against the live DaS stack, and fails if:
 #   1. any fired fault is left unrecovered, the runtime fail-stops, or a
 #      replay diverges (chaoscamp exits nonzero on all three),
-#   2. per-window availability drops below the floor (default 0.90),
-#   3. the 4-components-down burst never overlaps recoveries, or its wall
-#      time is not below the serialized sum of the recoveries it overlapped
-#      (the concurrent-recovery win, measured by chaoscamp --burst-compare).
+#   2. per-window availability drops below the floor (default 0.90).
+# A malformed VAMPOS_CHAOS_FAULTS or VAMPOS_CHAOS_FLOOR fails too: chaoscamp
+# exits 2 on any numeric flag that is not wholly a number in range.
 # The report JSON, availability curve CSV, and the campaign's Chrome trace
 # are left in place for CI to upload; vamptrace summarizes the trace's
 # per-window availability and MTTR percentiles as a readable report.
@@ -33,8 +32,7 @@ report="${VAMPOS_CHAOS_REPORT:-chaos_report.json}"
 curve="${VAMPOS_CHAOS_CURVE:-chaos_curve.csv}"
 trace="${VAMPOS_CHAOS_TRACE:-chaos_trace.json}"
 
-"$camp" --seed "$seed" --faults "$faults" --windows 10 --workers 4 \
-        --floor "$floor" --burst-compare \
+"$camp" --seed "$seed" --faults "$faults" --windows 10 --floor "$floor" \
         --out "$report" --curve "$curve" --trace "$trace"
 
 test -s "$report" && test -s "$curve" && test -s "$trace"

@@ -3,19 +3,14 @@
 # configuration, then again under ASan+UBSan. Any sanitizer report fails the
 # run (-fno-sanitize-recover=all aborts on the first UBSan hit too).
 #
-# Usage: scripts/check.sh [--asan-only|--no-asan|--lint|--tsan]
+# Usage: scripts/check.sh [--asan-only|--no-asan|--lint]
 #   --lint runs the vampcheck static passes (scripts/lint.sh) instead of the
 #   test suites.
-#   --tsan runs the ThreadSanitizer race matrix for the concurrent recovery
-#   paths (scripts/tsan_smoke.sh) instead of the test suites.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "--lint" ]]; then
   exec scripts/lint.sh
-fi
-if [[ "${1:-}" == "--tsan" ]]; then
-  exec scripts/tsan_smoke.sh
 fi
 
 run_suite() {

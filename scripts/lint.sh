@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # vampcheck static prong (see docs/static-analysis.md):
 #
-#   1. vampcheck — four dependency-free passes over src/ (tools/vampcheck):
+#   1. vampcheck — three dependency-free passes over src/ (tools/vampcheck):
 #        layering     include-graph rules from DESIGN.md §"Layering rules"
 #        determinism  replay-determinism lint for handler code (apps/, comp/)
-#        ownership    thread-ownership lint driven by the VAMP_* annotations
-#                     in base/thread_annotations.h (DESIGN.md §8)
 #        dirtywrite   dirty-write coverage: bulk writes into arena memory
 #                     must flow through a tracked path
 #      A violation on src/ fails this script. Each pass's committed fixture
@@ -33,7 +31,7 @@ vampcheck="$build_dir/tools/vampcheck/vampcheck"
 echo "== vampcheck: all passes over src/"
 "$vampcheck" all src
 
-for pass in layering determinism ownership dirtywrite; do
+for pass in layering determinism dirtywrite; do
   echo "== vampcheck[$pass]: fixture must fail"
   if "$vampcheck" "$pass" "tools/vampcheck/fixtures/$pass/src"; then
     echo "lint.sh: FIXTURE PASSED — the $pass pass is broken" >&2

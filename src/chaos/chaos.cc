@@ -379,72 +379,4 @@ void Report::WriteCurveCsv(std::FILE* out) const {
   }
 }
 
-BurstCompare CompareBurstRecovery(int workers, int reps) {
-  // Full-copy checkpoints make the restore cost proportional to arena size
-  // (16 MiB LWIP + 8 MiB VFS + 2 MiB 9PFS), and the log history below gives
-  // every reboot real replay work. Both stacks run the same worker pool;
-  // only the issue pattern differs — one-at-a-time synchronous reboots
-  // versus a burst of async reboots driven together — so the delta is the
-  // overlap itself: while the pool restores one group, the message thread
-  // replays another, instead of each reboot paying restore + replay in
-  // strict sequence.
-  const std::vector<std::string> names = {"vfs", "9pfs", "lwip", "netdev"};
-  const Clock& clock = SteadyClock::Instance();
-  BurstCompare bc;
-
-  const auto build = [&](int pool) {
-    HarnessOptions opts;
-    opts.recovery_workers = pool;
-    opts.snapshot_mode = mem::SnapshotMode::kFullCopy;
-    opts.tracing = false;
-    auto h = std::make_unique<DasHarness>(opts);
-    for (int r = 0; r < 10; ++r) h->TrafficRound();  // build replay history
-    return h;
-  };
-  const auto resolve = [&](DasHarness& h) {
-    std::vector<ComponentId> ids;
-    for (const std::string& n : names) {
-      const ComponentId id = h.rt().FindComponent(n);
-      if (id != kComponentNone) ids.push_back(id);
-    }
-    return ids;
-  };
-
-  {
-    auto h = build(workers);
-    const auto ids = resolve(*h);
-    bc.components = ids.size();
-    for (int r = 0; r < reps; ++r) {
-      const Nanos t0 = clock.Now();
-      for (const ComponentId id : ids) (void)h->rt().Reboot(id);
-      const Nanos dt = clock.Now() - t0;
-      if (bc.serial_ns == 0 || dt < bc.serial_ns) bc.serial_ns = dt;
-    }
-  }
-  {
-    auto h = build(workers);
-    const auto ids = resolve(*h);
-    for (int r = 0; r < reps; ++r) {
-      const std::size_t history_mark = h->rt().reboot_history().size();
-      const Nanos t0 = clock.Now();
-      for (const ComponentId id : ids) (void)h->rt().RebootAsync(id);
-      while (h->rt().active_recoveries() > 0) h->rt().Step();
-      const Nanos dt = clock.Now() - t0;
-      if (bc.parallel_ns == 0 || dt < bc.parallel_ns) {
-        bc.parallel_ns = dt;
-        // What serializing this exact burst would cost: each job's own
-        // begin->done duration, summed. The jobs overlapped, so the burst
-        // wall time is strictly below this sum.
-        bc.serialized_sum_ns = 0;
-        const auto& history = h->rt().reboot_history();
-        for (std::size_t i = history_mark; i < history.size(); ++i) {
-          bc.serialized_sum_ns += history[i].total_ns;
-        }
-      }
-    }
-    bc.peak_concurrent = h->rt().peak_concurrent_recoveries();
-  }
-  return bc;
-}
-
 }  // namespace vampos::chaos

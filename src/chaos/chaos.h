@@ -31,7 +31,9 @@ struct CampaignSpec {
   std::uint64_t seed = 1;
   std::size_t faults = 200;
   /// Percent of bursts that contain 2-3 faults (distinct components) instead
-  /// of a single one — the source of genuinely overlapping recoveries.
+  /// of a single one. A fault's recovery usually completes on the next
+  /// Runtime::Step(), before the burst's next fault fires, so bursts rarely
+  /// put two recoveries in flight.
   int burst_percent = 35;
   /// Availability windows the campaign's traffic rounds are bucketed into.
   std::size_t windows = 10;
@@ -156,25 +158,5 @@ class Campaign {
   CampaignSpec spec_;
   FaultPlan plan_;
 };
-
-/// Serialized-vs-concurrent recovery comparison for an N-components-down
-/// burst on a freshly built stack (full-copy checkpoints, so restore cost
-/// dominates and the overlap is measurable). Returns best-of-`reps` wall
-/// times for each mode plus the concurrent run's in-flight high-water mark.
-///
-/// `serial_ns` is a real one-at-a-time run; on a multi-core host it shows
-/// the restore overlap directly, but on a single-core host it is bound by
-/// scheduler noise (CPU-bound work cannot truly overlap). `serialized_sum_ns`
-/// is the burst run's own accounting: the sum of the per-recovery durations
-/// the burst overlapped — what replaying those same recoveries back-to-back
-/// would cost. It is the host-independent overlap signal.
-struct BurstCompare {
-  Nanos serial_ns = 0;
-  Nanos parallel_ns = 0;          // burst wall time, first inject -> all up
-  Nanos serialized_sum_ns = 0;    // sum of the burst's per-job durations
-  std::size_t components = 0;
-  std::size_t peak_concurrent = 0;
-};
-BurstCompare CompareBurstRecovery(int workers = 4, int reps = 3);
 
 }  // namespace vampos::chaos

@@ -18,7 +18,6 @@ DasHarness::DasHarness(const HarnessOptions& opts) {
   RuntimeOptions ro;
   ro.policy = SchedPolicy::kDependencyAware;
   ro.hang_threshold = opts.hang_threshold;
-  ro.recovery_workers = opts.recovery_workers;
   ro.reinit_on_restore_failure = opts.reinit_on_restore_failure;
   ro.snapshot_mode = opts.snapshot_mode;
   ro.tracing = opts.tracing;

@@ -20,8 +20,6 @@
 namespace vampos::chaos {
 
 struct HarnessOptions {
-  /// Size of the concurrent-recovery worker pool (0 = legacy serialized).
-  int recovery_workers = 4;
   /// Hang-detector threshold. Campaign hangs park a handler for this long
   /// of *real* time, so keep it small: a few ms per injected hang. Large
   /// enough that a sanitizer-slowed recovery pause on the message thread

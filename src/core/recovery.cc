@@ -2,7 +2,6 @@
 // log shrinking, component reboot, encapsulated restoration, and failure
 // detection/handling.
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -313,7 +312,6 @@ void Runtime::StopComponentFibers(ComponentId leader,
 mem::SnapshotConfig Runtime::SnapshotCfg() {
   mem::SnapshotConfig cfg;
   cfg.mode = options_.snapshot_mode;
-  cfg.workers = options_.snapshot_workers;
   cfg.baseline = &snapshot_baseline_;
   cfg.clock = options_.clock;
   cfg.dirty_tracking =
@@ -455,7 +453,7 @@ Result<RebootReport> Runtime::Reboot(ComponentId id, bool refresh_checkpoint) {
                              std::nullopt);
   if (!begun.ok()) return begun.status();
   const std::shared_ptr<RecoveryJob> job = begun.value();
-  while (!job->done) DriveRecovery(/*block=*/true);
+  while (!job->done) DriveRecovery();
   if (!job->ok) return job->error;
   return job->report;
 }
@@ -465,12 +463,6 @@ Status Runtime::RebootAsync(ComponentId id, bool refresh_checkpoint) {
                              std::nullopt);
   if (!begun.ok()) return begun.status();
   return Status::Ok();
-}
-
-void Runtime::EnsureRecoveryPool() {
-  if (recovery_pool_ == nullptr) {
-    recovery_pool_ = std::make_unique<RecoveryPool>(options_.recovery_workers);
-  }
 }
 
 Result<std::shared_ptr<Runtime::RecoveryJob>> Runtime::BeginRecovery(
@@ -529,22 +521,10 @@ Result<std::shared_ptr<Runtime::RecoveryJob>> Runtime::BeginRecovery(
   slot.failed = true;
 
   // Restore each stateful primitive of the group (dominant cost,
-  // proportional to the component footprint). With recovery workers the
-  // restores run off-thread so N failed components overlap; stateless
-  // members re-Init cheaply at join time.
+  // proportional to the component footprint). The outcome is accounted in
+  // FinalizeRestore; stateless members re-Init cheaply there.
   recorder_.Record(obs::EventKind::kRebootSnapshot, obs::TracePhase::kBegin,
                    leader);
-  for (ComponentId m : slot.group) {
-    if (slots_[m].component->statefulness() == Statefulness::kStateful) {
-      RecoveryJob::MemberRestore mr;
-      mr.member = m;
-      // Resolved here, on the message thread: the worker gets job-private
-      // pointers and never dereferences slots_ (vampcheck ownership).
-      mr.checkpoint = &slots_[m].checkpoint;
-      mr.arena = &slots_[m].component->arena();
-      job->restores.push_back(std::move(mr));
-    }
-  }
   recovery_jobs_.push_back(job);
   peak_concurrent_recoveries_ =
       std::max(peak_concurrent_recoveries_, recovery_jobs_.size());
@@ -554,43 +534,16 @@ Result<std::shared_ptr<Runtime::RecoveryJob>> Runtime::BeginRecovery(
                      obs::TracePhase::kInstant, leader,
                      static_cast<std::int64_t>(recovery_jobs_.size()));
   }
-
-  if (job->restores.empty()) {
-    job->restore_done.store(true, std::memory_order_release);
-  } else if (options_.recovery_workers > 0) {
-    // Worker-side restore: only the thread-safe Snapshot::Restore runs off
-    // the message thread. Workers must not touch a FakeClock, the metrics
-    // registry, the recorder, or the audit sampler — per-member stats are
-    // carried back and accounted at join, on the message thread.
-    EnsureRecoveryPool();
-    mem::SnapshotConfig cfg = SnapshotCfg();
-    cfg.clock = &SteadyClock::Instance();
-    cfg.workers = 0;
-    cfg.audit_rate = 0;
-    recovery_pool_->Submit([this, job, cfg] { RestoreOnWorker(job, cfg); });
-  } else {
-    // Inline restore: the legacy serialized behavior, full audit coverage.
-    for (auto& mr : job->restores) {
-      mr.status = mr.checkpoint->Restore(*mr.arena, SnapshotCfg(), &mr.stats);
-    }
-    job->restore_done.store(true, std::memory_order_release);
+  for (ComponentId m : slot.group) {
+    Slot& ms = slots_[m];
+    if (ms.component->statefulness() != Statefulness::kStateful) continue;
+    RecoveryJob::MemberRestore mr;
+    mr.member = m;
+    mr.status =
+        ms.checkpoint.Restore(ms.component->arena(), SnapshotCfg(), &mr.stats);
+    job->restores.push_back(std::move(mr));
   }
   return job;
-}
-
-// Runs on a RecoveryPool worker. Only job-private state (the restores the
-// message thread resolved in BeginRecovery) and the completion handshake —
-// everything else in the runtime is VAMP_MSG_THREAD_ONLY.
-void Runtime::RestoreOnWorker(std::shared_ptr<RecoveryJob> job,
-                              mem::SnapshotConfig cfg) VAMP_POOL_ENTRY {
-  for (auto& mr : job->restores) {
-    mr.status = mr.checkpoint->Restore(*mr.arena, cfg, &mr.stats);
-  }
-  {
-    std::lock_guard<std::mutex> lk(recovery_mu_);
-    job->restore_done.store(true, std::memory_order_release);
-  }
-  recovery_cv_.notify_all();
 }
 
 bool Runtime::ReplayBlockedByDeps(const RecoveryJob& job) const {
@@ -860,17 +813,15 @@ void Runtime::FinalizeReplay(const std::shared_ptr<RecoveryJob>& job) {
   if (dump_trace_on_reboot_) WritePostmortemTrace("post-reboot");
 }
 
-bool Runtime::DriveRecovery(bool block) {
+bool Runtime::DriveRecovery() {
   if (recovery_jobs_.empty() && !pending_failstop_.has_value()) return false;
   HangClockPause pause(*this);
   bool progressed = false;
-  // Join restores the pool (or the inline path) finished. All accounting —
-  // metrics, recorder events, OnRestored hooks, stateless re-Init — happens
-  // here, on the message thread.
+  // Account the restores BeginRecovery ran: metrics, recorder events,
+  // OnRestored hooks, stateless re-Init.
   for (const auto& job :
        std::vector<std::shared_ptr<RecoveryJob>>(recovery_jobs_)) {
     if (job->done || job->restored) continue;
-    if (!job->restore_done.load(std::memory_order_acquire)) continue;
     FinalizeRestore(job);
     progressed = true;
   }
@@ -901,20 +852,6 @@ bool Runtime::DriveRecovery(bool block) {
     if (pick == nullptr) break;
     FinalizeReplay(pick);
     progressed = true;
-  }
-  if (!progressed && block && !recovery_jobs_.empty()) {
-    // Nothing can advance until a worker lands a restore: sleep on its
-    // signal (bounded, as a safety valve) instead of spinning.
-    std::unique_lock<std::mutex> lk(recovery_mu_);
-    recovery_cv_.wait_for(lk, std::chrono::milliseconds(50), [this] {
-      for (const auto& job : recovery_jobs_) {
-        if (!job->done && !job->restored &&
-            job->restore_done.load(std::memory_order_acquire)) {
-          return true;
-        }
-      }
-      return false;
-    });
   }
   if (recovery_jobs_.empty() && pending_failstop_.has_value()) {
     const ComponentFault fault = *pending_failstop_;

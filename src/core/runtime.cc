@@ -52,13 +52,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
       options_.dirty_audit_rate = static_cast<std::uint32_t>(n);
     }
   }
-  // VAMPOS_RECOVERY_WORKERS sizes the concurrent-recovery pool (0 keeps the
-  // legacy serialized inline restore path).
-  if (const char* env = std::getenv("VAMPOS_RECOVERY_WORKERS")) {
-    if (const long n = std::atol(env); n >= 0) {
-      options_.recovery_workers = static_cast<int>(n);
-    }
-  }
   // VAMPOS_HEALTH forces the aging-aware health monitor on ("1") or off;
   // VAMPOS_METRICS_FORMAT picks the VAMPOS_METRICS_DUMP exposition format.
   if (const char* env = std::getenv("VAMPOS_HEALTH")) {
@@ -177,11 +170,8 @@ obs::HealthMonitor& Runtime::EnableHealth(const obs::HealthConfig& config) {
   return *health_;
 }
 
-Runtime::~Runtime() {
-  // The pool drains before anything else is torn down: worker tasks hold
-  // raw pointers into slots_.
-  recovery_pool_.reset();
-}
+// Out of line: check::IsolationChecker is incomplete in the header.
+Runtime::~Runtime() = default;
 
 ComponentId Runtime::AddComponent(std::unique_ptr<Component> component) {
   if (booted_) Fatal("AddComponent after Boot()");
@@ -367,10 +357,9 @@ void Runtime::RunUntilIdle() {
 bool Runtime::Step() {
   DeliverReplies();
   CheckHangs();
-  // Drain any recovery progress without blocking: worker restores that have
-  // landed get joined and replays run here, between dispatches, so healthy
-  // components keep being served while others recover.
-  DriveRecovery(/*block=*/false);
+  // Finalize restores and run eligible replays between dispatches, so
+  // healthy components keep being served while others recover.
+  DriveRecovery();
   MaybeSpawnAux();
   if (health_ != nullptr && health_->SampleDue(health_now_)) {
     SampleHealth(health_now_);
@@ -400,9 +389,9 @@ bool Runtime::Step() {
   sched::Fiber* f = PickNext();
   if (f == nullptr) {
     if (!recovery_jobs_.empty()) {
-      // Nothing dispatchable, but recoveries are in flight: block on their
-      // progress instead of spinning through empty polls.
-      DriveRecovery(/*block=*/true);
+      // Nothing dispatchable, but recoveries are in flight: advance them
+      // (each pass completes at least one job).
+      DriveRecovery();
       return true;
     }
     return false;

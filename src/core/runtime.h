@@ -14,23 +14,18 @@
 //               function-call/return-value logging, component reboots.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "base/clock.h"
-#include "base/thread_annotations.h"
 #include "base/types.h"
 #include "comp/component.h"
-#include "core/recovery_pool.h"
 #include "mem/snapshot.h"
 #include "mpk/mpk.h"
 #include "msg/domain.h"
@@ -89,10 +84,6 @@ struct RuntimeOptions {
   /// is the legacy full-arena memcpy fallback (verified byte-equivalent by
   /// tests); both modes feed the snapshot.* metrics.
   mem::SnapshotMode snapshot_mode = mem::SnapshotMode::kIncremental;
-  /// Worker threads for the page-hash pass of captures/restores; <= 1 hashes
-  /// on the message thread. Page hashing is pure and deterministic, so the
-  /// result is identical at any worker count.
-  int snapshot_workers = 0;
   /// Write-time dirty-page tracking (requires kIncremental): every stateful
   /// component arena gets a per-4KiB-page bitmap fed by the sanctioned write
   /// paths (allocator, checked MPK writes, message-domain copies, explicit
@@ -121,13 +112,8 @@ struct RuntimeOptions {
   /// checker and every hook is a single predicted branch (same guarantee as
   /// the flight recorder).
   bool isolation_check = false;
-  /// Worker threads for concurrent component recovery: checkpoint restores
-  /// of distinct failed components run on a bounded pool while the message
-  /// thread keeps serving unaffected components and replays restored
-  /// components in dependency order. 0 (default) restores inline on the
-  /// message thread — the legacy serialized behavior. Overridden by the
-  /// VAMPOS_RECOVERY_WORKERS env var.
-  int recovery_workers = 0;
+  /// Not a knob (restores run on the message thread); perfbench prints it.
+  static constexpr int recovery_workers = 0;
   /// When a checkpoint restore fails (corrupt/foreign image), fall back to
   /// re-running Init on a freshly formatted arena, capture a new checkpoint,
   /// and rebuild state through the full log replay, instead of failing the
@@ -323,12 +309,12 @@ class Runtime {
   Result<RebootReport> Reboot(ComponentId id, bool refresh_checkpoint = false);
 
   /// Starts a reboot without waiting for it to finish: the component's
-  /// fibers stop immediately, its checkpoint restores on the recovery worker
-  /// pool (RuntimeOptions::recovery_workers), and replay happens on a later
-  /// Step() once every component it depends on is back. N failed components
-  /// recover concurrently; the message thread keeps serving the rest. If a
-  /// recovery for the same group is already in flight, joins it. Outcomes
-  /// land in reboot_history() / the rt.recovery_failures counter.
+  /// fibers stop and its checkpoint restores immediately, and replay happens
+  /// on a later Step() once every component it depends on is back, so
+  /// several failed components can be in recovery at once while the message
+  /// thread keeps serving the rest. If a recovery for the same group is
+  /// already in flight, joins it. Outcomes land in reboot_history() / the
+  /// rt.recovery_failures counter.
   Status RebootAsync(ComponentId id, bool refresh_checkpoint = false);
 
   /// Recoveries currently in flight (stopped but not yet fully replayed).
@@ -572,11 +558,11 @@ class Runtime {
   void CheckHangs();
   void NoteDispatched(ComponentId id);
 
-  // Recovery work runs on the message thread (stop, replay, reinit
-  // recapture, or blocking on a worker restore) and can pause dispatch for
-  // milliseconds. The guard shifts every in-flight handler's hang timer
-  // forward by the pause so CheckHangs charges that time to the recovery,
-  // not to whichever healthy handler happened to be mid-call.
+  // Recovery work runs on the message thread (stop, restore, replay, reinit
+  // recapture) and can pause dispatch for milliseconds. The guard shifts
+  // every in-flight handler's hang timer forward by the pause so CheckHangs
+  // charges that time to the recovery, not to whichever healthy handler
+  // happened to be mid-call.
   class HangClockPause {
    public:
     explicit HangClockPause(Runtime& rt)
@@ -604,10 +590,10 @@ class Runtime {
                           const msg::MsgValue& ret, const msg::Args& args);
   void MaybeCompact(ComponentId owner);
 
-  // Recovery internals. A reboot is a RecoveryJob: stop (message thread) →
-  // restore (worker pool or inline) → replay (message thread, dependency
-  // ordered). The sync Reboot() wrapper drives its job to completion;
-  // RebootAsync() leaves the job for Step()/DriveRecovery() to finish.
+  // Recovery internals. A reboot is a RecoveryJob: stop + restore (in
+  // BeginRecovery) → finalize the restore and replay (DriveRecovery,
+  // dependency ordered). The sync Reboot() wrapper drives its job to
+  // completion; RebootAsync() leaves the job for Step()/DriveRecovery().
   struct RecoveryJob {
     ComponentId leader = kComponentNone;
     bool refresh = false;
@@ -620,16 +606,11 @@ class Runtime {
     std::vector<RetryRecord> queued;    // drained, never executed
     struct MemberRestore {
       ComponentId member = kComponentNone;
-      // Resolved from slots_ by the message thread in BeginRecovery, so the
-      // worker never dereferences runtime state (vampcheck ownership).
-      mem::Snapshot* checkpoint = nullptr;
-      mem::Arena* arena = nullptr;
       Status status;
       mem::SnapshotStats stats;
     };
-    std::vector<MemberRestore> restores VAMP_RECOVERY_POOL_SHARED;
-    std::atomic<bool> restore_done VAMP_RECOVERY_POOL_SHARED{false};
-    bool restored = false;   // message thread joined + accounted the restore
+    std::vector<MemberRestore> restores;
+    bool restored = false;   // FinalizeRestore accounted the restores
     bool done = false;
     bool ok = false;
     Status error;
@@ -639,10 +620,9 @@ class Runtime {
   Result<std::shared_ptr<RecoveryJob>> BeginRecovery(
       ComponentId id, bool refresh, bool escalate,
       std::optional<ComponentFault> origin);
-  /// Joins finished restores and replays eligible jobs. `block` waits for a
-  /// worker-side restore when nothing else can progress. Returns whether any
-  /// job advanced.
-  bool DriveRecovery(bool block);
+  /// Finalizes restored jobs and replays eligible ones. Returns whether any
+  /// job advanced; with jobs in flight, every call advances at least one.
+  bool DriveRecovery();
   void FinalizeRestore(const std::shared_ptr<RecoveryJob>& job);
   void FinalizeReplay(const std::shared_ptr<RecoveryJob>& job);
   void FailJob(const std::shared_ptr<RecoveryJob>& job, Status error,
@@ -651,12 +631,6 @@ class Runtime {
   /// (no active recovery for any dependency leader).
   [[nodiscard]] bool ReplayBlockedByDeps(const RecoveryJob& job) const;
   void RemoveJob(const std::shared_ptr<RecoveryJob>& job);
-  void EnsureRecoveryPool();
-  /// Worker-side half of a recovery: restores the job's members through the
-  /// pointers BeginRecovery resolved, then signals restore_done. Touches
-  /// only job-private state and the recovery handshake.
-  void RestoreOnWorker(std::shared_ptr<RecoveryJob> job,
-                       mem::SnapshotConfig cfg) VAMP_POOL_ENTRY;
   /// Replaces `id`'s checkpoint with a wrong-size image (corrupt-checkpoint
   /// fault injection; also the CorruptCheckpointForTest seam).
   void CorruptCheckpoint(ComponentId id);
@@ -665,7 +639,7 @@ class Runtime {
                            std::vector<RetryRecord>* queued);
   void RestoreStateful(Slot& slot, RebootReport& report);
   void ReplayLog(ComponentId id, RebootReport& report);
-  /// Snapshot knobs for this runtime: mode/workers from RuntimeOptions, the
+  /// Snapshot knobs for this runtime: mode from RuntimeOptions, the
   /// shared baseline, and the runtime clock for the hash/copy phase split.
   [[nodiscard]] mem::SnapshotConfig SnapshotCfg();
   /// Captures a component checkpoint under SnapshotCfg(), bumping the
@@ -718,11 +692,11 @@ class Runtime {
   obs::FlightRecorder recorder_;
   // Aging-aware health telemetry; null when off so every feed point is a
   // single predicted branch and disabled runs allocate nothing.
-  std::unique_ptr<obs::HealthMonitor> health_ VAMP_MSG_THREAD_ONLY;
+  std::unique_ptr<obs::HealthMonitor> health_;
   // Latest handler-completion timestamp, reused to drive SampleDue() so
   // Step() never pays a clock read for health (that alone costs percents of
   // call throughput on the unlogged path).
-  Nanos health_now_ VAMP_MSG_THREAD_ONLY = 0;
+  Nanos health_now_ = 0;
   /// Hot-path counters, resolved once from the registry at construction.
   struct HotCounters {
     obs::Counter* calls = nullptr;
@@ -794,41 +768,31 @@ class Runtime {
   std::unique_ptr<check::IsolationChecker> checker_;
   sched::FiberManager fibers_;
 
-  // Message-thread ownership (DESIGN.md §8): everything below is
-  // VAMP_MSG_THREAD_ONLY unless annotated otherwise — pool workers get
-  // job-private pointers, never the runtime's containers.
-  std::vector<Slot> slots_ VAMP_MSG_THREAD_ONLY;
+  std::vector<Slot> slots_;
   std::vector<FnEntry> fns_;
   std::unordered_map<std::string, FunctionId> fn_by_name_;  // "comp.fn"
   std::vector<ComponentId> app_deps_;
 
   // Fiber-local execution contexts (single OS thread; keyed by fiber).
-  std::unordered_map<sched::Fiber*, ExecCtx> exec_ctx_ VAMP_MSG_THREAD_ONLY;
+  std::unordered_map<sched::Fiber*, ExecCtx> exec_ctx_;
   // Restore-mode execution (runs on the message thread, no fiber).
-  std::vector<ExecCtx> restore_stack_ VAMP_MSG_THREAD_ONLY;
+  std::vector<ExecCtx> restore_stack_;
   // Replay feed cursor during encapsulated restoration.
   const msg::CallLogEntry* replay_entry_ = nullptr;
   std::size_t replay_outbound_cursor_ = 0;
 
-  std::unordered_map<std::uint64_t, PendingReply> pending_replies_
-      VAMP_MSG_THREAD_ONLY;
+  std::unordered_map<std::uint64_t, PendingReply> pending_replies_;
   // In-flight and pending recoveries. Jobs are owned here; the sync Reboot
   // wrapper and the chaos engine hold shared_ptrs across DriveRecovery.
-  std::vector<std::shared_ptr<RecoveryJob>> recovery_jobs_
-      VAMP_MSG_THREAD_ONLY;
-  std::unique_ptr<RecoveryPool> recovery_pool_;  // lazily spawned
-  // Completion handshake with the workers: restore_done is published under
-  // recovery_mu_ and the message thread waits on recovery_cv_.
-  std::mutex recovery_mu_ VAMP_RECOVERY_POOL_SHARED;
-  std::condition_variable recovery_cv_ VAMP_RECOVERY_POOL_SHARED;
+  std::vector<std::shared_ptr<RecoveryJob>> recovery_jobs_;
   std::size_t peak_concurrent_recoveries_ = 0;
   // Escalating job failed while others were in flight: FailStop deferred
   // until the survivors finish recovering (they must not be stranded).
-  std::optional<ComponentFault> pending_failstop_ VAMP_MSG_THREAD_ONLY;
+  std::optional<ComponentFault> pending_failstop_;
   // rpc_id -> outbound feed for a retried request awaiting execution.
   std::unordered_map<std::uint64_t,
                      std::vector<std::pair<FunctionId, msg::MsgValue>>>
-      retry_feeds_ VAMP_MSG_THREAD_ONLY;
+      retry_feeds_;
   std::vector<sched::Fiber*> app_fibers_;
   std::vector<sched::Fiber*> parked_apps_;
 

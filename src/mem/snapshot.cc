@@ -1,9 +1,8 @@
 #include "mem/snapshot.h"
 
-#include <algorithm>
 #include <cstring>
 #include <string>
-#include <thread>
+#include <utility>
 
 #include "base/panic.h"
 
@@ -32,17 +31,6 @@ inline std::uint64_t Finalize(std::uint64_t h) {
   return h;
 }
 
-/// Hashes pages [first, first+count) of `base` into hashes/zeros. Runs on
-/// snapshot hash workers: may touch only its arguments and the hash seam.
-void HashRange(const std::byte* base, std::size_t first, std::size_t count,
-               std::uint64_t* hashes, std::uint8_t* zeros) VAMP_POOL_ENTRY {
-  for (std::size_t i = first; i < first + count; ++i) {
-    bool is_zero = false;
-    hashes[i] = Snapshot::PageHash(base + i * kPage, &is_zero);
-    zeros[i] = is_zero ? 1 : 0;
-  }
-}
-
 /// Exact all-zeroes check for one page (no hashing involved).
 bool IsZeroPage(const std::byte* page) {
   std::uint64_t acc = 0;
@@ -54,32 +42,15 @@ bool IsZeroPage(const std::byte* page) {
   return acc == 0;
 }
 
-/// Page-hash pass, optionally spread over worker threads. Pages are
-/// independent, so the split is a plain range partition; results land in
-/// caller-provided arrays and the pass is deterministic regardless of
-/// worker count.
-void HashPages(const std::byte* base, std::size_t n_pages, int workers,
+/// Page-hash pass: hashes pages [0, n_pages) of `base` into the
+/// caller-provided hashes/zeros arrays.
+void HashPages(const std::byte* base, std::size_t n_pages,
                std::uint64_t* hashes, std::uint8_t* zeros) {
-  const auto requested = static_cast<std::size_t>(workers > 1 ? workers : 1);
-  // Below a few hundred pages the thread spawn costs more than the hashing.
-  constexpr std::size_t kMinPagesPerWorker = 64;
-  const std::size_t usable =
-      std::min(requested, std::max<std::size_t>(1, n_pages /
-                                                       kMinPagesPerWorker));
-  if (usable <= 1) {
-    HashRange(base, 0, n_pages, hashes, zeros);
-    return;
+  for (std::size_t i = 0; i < n_pages; ++i) {
+    bool is_zero = false;
+    hashes[i] = Snapshot::PageHash(base + i * kPage, &is_zero);
+    zeros[i] = is_zero ? 1 : 0;
   }
-  std::vector<std::thread> threads;
-  threads.reserve(usable);
-  const std::size_t chunk = (n_pages + usable - 1) / usable;
-  for (std::size_t w = 0; w < usable; ++w) {
-    const std::size_t first = w * chunk;
-    if (first >= n_pages) break;
-    const std::size_t count = std::min(chunk, n_pages - first);
-    threads.emplace_back(HashRange, base, first, count, hashes, zeros);
-  }
-  for (std::thread& t : threads) t.join();
 }
 
 inline Nanos NowOrZero(const Clock* clock) {
@@ -188,7 +159,7 @@ Snapshot Snapshot::Capture(const Arena& arena, const SnapshotConfig& config,
   std::vector<std::uint64_t> hashes(n);
   std::vector<std::uint8_t> zeros(n);
   const Nanos t0 = NowOrZero(config.clock);
-  HashPages(arena.base(), n, config.workers, hashes.data(), zeros.data());
+  HashPages(arena.base(), n, hashes.data(), zeros.data());
   const Nanos t1 = NowOrZero(config.clock);
   local.hash_ns = t1 - t0;
 
@@ -312,7 +283,7 @@ Status Snapshot::Recapture(const Arena& arena, const SnapshotConfig& config,
     std::vector<std::uint64_t> hashes(n);
     std::vector<std::uint8_t> zeros(n);
     const Nanos t0 = NowOrZero(config.clock);
-    HashPages(arena.base(), n, config.workers, hashes.data(), zeros.data());
+    HashPages(arena.base(), n, hashes.data(), zeros.data());
     const Nanos t1 = NowOrZero(config.clock);
     local.hash_ns = t1 - t0;
     local.audited = audit;
@@ -409,7 +380,7 @@ Status Snapshot::Restore(Arena& arena, const SnapshotConfig& config,
     std::vector<std::uint64_t> hashes(n);
     std::vector<std::uint8_t> zeros(n);
     const Nanos t0 = NowOrZero(config.clock);
-    HashPages(arena.base(), n, config.workers, hashes.data(), zeros.data());
+    HashPages(arena.base(), n, hashes.data(), zeros.data());
     const Nanos t1 = NowOrZero(config.clock);
     local.hash_ns = t1 - t0;
     local.audited = audit;

@@ -20,10 +20,6 @@
 //                    the checkpoint hash per page, and copies only divergent
 //                    pages, leaving clean cachelines untouched.
 //
-// The hash pass is embarrassingly parallel and can be spread over worker
-// threads (SnapshotConfig::workers); the page classification and copies stay
-// on the calling thread so the result is deterministic.
-//
 // The legacy full-arena memcpy engine is kept as SnapshotMode::kFullCopy
 // (selected via RuntimeOptions) and verified byte-equivalent by tests.
 #pragma once
@@ -35,7 +31,6 @@
 #include <vector>
 
 #include "base/clock.h"
-#include "base/thread_annotations.h"
 #include "base/types.h"
 #include "mem/arena.h"
 
@@ -56,7 +51,7 @@ struct SnapshotStats {
   std::size_t bytes_copied = 0;  // bytes memcpy'd/memset by this operation
   bool dirty_fast = false;       // op consumed the dirty bitmap (O(dirty))
   bool audited = false;          // randomized audit full-scan ran
-  Nanos hash_ns = 0;             // page-hash pass (parallelizable)
+  Nanos hash_ns = 0;             // page-hash pass
   Nanos copy_ns = 0;             // classification + copy pass
 };
 
@@ -85,22 +80,17 @@ class PageBaseline {
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
 
  private:
-  // Interning happens only on the capture/recapture path, which never runs
-  // on a recovery worker: workers only *read* pooled pages through the
-  // PageEntry::shared pointers their job's snapshots already hold.
   // hash -> pooled pages with that hash (collision chain, memcmp-verified).
   std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<std::byte[]>>>
-      pool_ VAMP_MSG_THREAD_ONLY;
-  std::size_t pooled_ VAMP_MSG_THREAD_ONLY = 0;
-  std::uint64_t hits_ VAMP_MSG_THREAD_ONLY = 0;
+      pool_;
+  std::size_t pooled_ = 0;
+  std::uint64_t hits_ = 0;
 };
 
 /// Knobs for one snapshot operation, assembled by the runtime from
-/// RuntimeOptions (mode, workers) and its shared baseline.
+/// RuntimeOptions (mode) and its shared baseline.
 struct SnapshotConfig {
   SnapshotMode mode = SnapshotMode::kIncremental;
-  /// Threads for the page-hash pass; <= 1 hashes on the calling thread.
-  int workers = 0;
   /// Shared read-only page pool; nullptr keeps every stored page private.
   PageBaseline* baseline = nullptr;
   /// Clock for the hash/copy phase split; nullptr leaves *_ns at zero.

@@ -20,8 +20,7 @@
 // Like the recorder, the monitor is pay-for-what-you-use: the runtime holds
 // a null pointer when health is off, so the disabled hot path is one
 // predicted branch and zero allocation. All feed methods run on the message
-// thread; exported gauges are registry counters (atomic), safe for any
-// reader.
+// thread; exported gauges are registry counters.
 #pragma once
 
 #include <cstdint>

@@ -7,33 +7,24 @@
 // the old structs remain as snapshot views assembled from the registry.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
 
-#include "base/thread_annotations.h"
 #include "obs/histogram.h"
 
 namespace vampos::obs {
 
 class Counter {
  public:
-  void Add(std::uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void Set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void Add(std::uint64_t delta = 1) { value_ += delta; }
+  void Set(std::uint64_t v) { value_ = v; }
+  void Reset() { value_ = 0; }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
-  // Recovery-pool workers and the parallel hash pass bump counters the
-  // message thread also owns; relaxed is enough — counters are monotonic
-  // telemetry, never synchronization.
-  std::atomic<std::uint64_t> value_ VAMP_RECOVERY_POOL_SHARED{0};
+  std::uint64_t value_ = 0;
 };
 
 class MetricsRegistry {
@@ -69,11 +60,8 @@ class MetricsRegistry {
   void WritePrometheus(std::FILE* out) const;
 
  private:
-  // Metric *registration* (node creation in GetCounter/GetHistogram) happens
-  // on the message thread only; worker threads touch existing Counter values
-  // through cached pointers (atomic, see Counter::value_).
-  std::map<std::string, Counter> counters_ VAMP_MSG_THREAD_ONLY;
-  std::map<std::string, Histogram> histograms_ VAMP_MSG_THREAD_ONLY;
+  std::map<std::string, Counter> counters_;
+  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace vampos::obs

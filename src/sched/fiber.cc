@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#if defined(__SANITIZE_THREAD__)
-#include <sanitizer/tsan_interface.h>
-#endif
-
 #include "obs/trace.h"
 
 namespace vampos::sched {
@@ -24,12 +20,6 @@ Fiber::Fiber(std::string name, ComponentId owner, std::function<void()> entry,
       entry_(std::move(entry)),
       stack_(stack_size) {}
 
-Fiber::~Fiber() {
-#if defined(__SANITIZE_THREAD__)
-  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
-#endif
-}
-
 void Fiber::Trampoline() {
   FiberManager* mgr = g_active_manager;
   Fiber* self = mgr->Current();
@@ -47,12 +37,7 @@ void Fiber::Trampoline() {
   Fatal("resumed a finished fiber '%s'", self->name_.c_str());
 }
 
-FiberManager::FiberManager() {
-  g_active_manager = this;
-#if defined(__SANITIZE_THREAD__)
-  tsan_main_ = __tsan_get_current_fiber();
-#endif
-}
+FiberManager::FiberManager() { g_active_manager = this; }
 
 FiberManager::~FiberManager() {
   if (g_active_manager == this) g_active_manager = nullptr;
@@ -70,9 +55,6 @@ Fiber* FiberManager::Spawn(std::string name, ComponentId owner,
   raw->ctx_.uc_stack.ss_size = raw->stack_.size();
   raw->ctx_.uc_link = &main_ctx_;
   makecontext(&raw->ctx_, reinterpret_cast<void (*)()>(&Fiber::Trampoline), 0);
-#if defined(__SANITIZE_THREAD__)
-  raw->tsan_fiber_ = __tsan_create_fiber(0);
-#endif
   fibers_.push_back(std::move(fiber));
   return raw;
 }
@@ -104,9 +86,6 @@ FiberState FiberManager::Dispatch(Fiber* fiber) {
                       fiber->trace_);
   }
   current_ = fiber;
-#if defined(__SANITIZE_THREAD__)
-  __tsan_switch_to_fiber(fiber->tsan_fiber_, 0);
-#endif
   swapcontext(&main_ctx_, &fiber->ctx_);
   current_ = nullptr;
   if (recorder_ != nullptr) {
@@ -122,9 +101,6 @@ FiberState FiberManager::Dispatch(Fiber* fiber) {
 void FiberManager::SwitchToMain() {
   Fiber* fiber = current_;
   switches_++;
-#if defined(__SANITIZE_THREAD__)
-  __tsan_switch_to_fiber(tsan_main_, 0);
-#endif
   swapcontext(&fiber->ctx_, &main_ctx_);
 }
 

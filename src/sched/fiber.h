@@ -47,7 +47,6 @@ class Fiber {
  public:
   Fiber(std::string name, ComponentId owner, std::function<void()> entry,
         std::size_t stack_size);
-  ~Fiber();
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
@@ -80,12 +79,6 @@ class Fiber {
   std::uint64_t dispatches_ = 0;
   obs::TraceContext trace_;
   FiberManager* manager_ = nullptr;
-#if defined(__SANITIZE_THREAD__)
-  // TSan shadow fiber: without __tsan_switch_to_fiber around swapcontext,
-  // TSan sees one thread's shadow stack jump between ucontext stacks and
-  // reports false races on every fiber-local access (Tsan builds only).
-  void* tsan_fiber_ = nullptr;
-#endif
 };
 
 /// Single-threaded fiber switcher. The "main" context is the runtime/message
@@ -139,9 +132,6 @@ class FiberManager {
   void SwitchToMain();
 
   ucontext_t main_ctx_{};
-#if defined(__SANITIZE_THREAD__)
-  void* tsan_main_ = nullptr;  // TSan's fiber handle for the main context
-#endif
   Fiber* current_ = nullptr;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::uint64_t switches_ = 0;

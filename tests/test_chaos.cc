@@ -1,10 +1,13 @@
-// Chaos subsystem: concurrent component recovery (dependency-ordered
-// replay, overlapping reboots, failed-restore isolation) and the seeded
+// Chaos subsystem: overlapping component recoveries (dependency-ordered
+// replay, two jobs in flight, failed-restore isolation) and the seeded
 // fault-injection campaign engine (deterministic plans, the env repro knob,
-// and a mini-campaign against the live DaS stack).
+// and a mini-campaign against the live DaS stack). Recovery never starts an
+// OS thread: the thread count is checked around whole recoveries.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <iterator>
 
 #include "chaos/chaos.h"
 #include "chaos/harness.h"
@@ -20,12 +23,18 @@ using testing::CounterComponent;
 using testing::RunApp;
 using testing::StoreComponent;
 
-RuntimeOptions ConcurrentOpts(int workers) {
+RuntimeOptions ConcurrentOpts() {
   RuntimeOptions o;
   o.hang_threshold = 0;
-  o.recovery_workers = workers;
   o.tracing = true;
   return o;
+}
+
+// OS threads in this process. Tests compare counts taken before and after
+// rather than expecting 1, so a sanitizer runtime's own thread is harmless.
+std::ptrdiff_t ThreadCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
 }
 
 struct Pair {
@@ -59,7 +68,7 @@ void DriveRecoveries(Runtime& rt) {
 }
 
 TEST(ChaosRecovery, DependencyOrderedConcurrentReplay) {
-  Runtime rt(ConcurrentOpts(2));
+  Runtime rt(ConcurrentOpts());
   Pair p = BuildPair(rt);
   RunApp(rt, [&] {
     for (int i = 0; i < 4; ++i) rt.Call(p.inc, {});
@@ -95,7 +104,8 @@ TEST(ChaosRecovery, DependencyOrderedConcurrentReplay) {
 }
 
 TEST(ChaosRecovery, OverlappingRebootsReachTwoInFlight) {
-  Runtime rt(ConcurrentOpts(2));
+  const std::ptrdiff_t threads_before = ThreadCount();
+  Runtime rt(ConcurrentOpts());
   Pair p = BuildPair(rt);
   RunApp(rt, [&] {
     for (int i = 0; i < 2; ++i) rt.Call(p.inc, {});
@@ -122,6 +132,8 @@ TEST(ChaosRecovery, OverlappingRebootsReachTwoInFlight) {
   ASSERT_GE(last_begin, 0);
   ASSERT_GE(first_end, 0);
   EXPECT_LE(last_begin, first_end);
+  // Two recoveries overlapped on the message thread alone.
+  EXPECT_EQ(ThreadCount(), threads_before);
 }
 
 // Satellite regression: a reboot whose restore fails (corrupt checkpoint,
@@ -129,7 +141,7 @@ TEST(ChaosRecovery, OverlappingRebootsReachTwoInFlight) {
 // bumping rt.recovery_failures — without stalling the other recovery or the
 // runtime. This is the "failed job unblocks its dependents" contract.
 TEST(ChaosRecovery, FailedRestoreDoesNotStallOtherRecoveries) {
-  Runtime rt(ConcurrentOpts(2));
+  Runtime rt(ConcurrentOpts());
   Pair p = BuildPair(rt);
   RunApp(rt, [&] {
     for (int i = 0; i < 3; ++i) rt.Call(p.inc, {});
@@ -189,12 +201,11 @@ TEST(ChaosPlan, EnvSeedOverridesSpec) {
 }
 
 // The acceptance mini-campaign: 200 seeded faults against the live stack,
-// concurrent recovery on, every fault recovered, no fail-stop, no replay
-// divergence, and the process survives (ASan keeps this honest).
+// every fault recovered, no fail-stop, no replay divergence, no OS thread
+// started, and the process survives (ASan keeps this honest).
 TEST(ChaosCampaign, MiniCampaignRunsClean) {
-  chaos::HarnessOptions hopts;
-  hopts.recovery_workers = 4;
-  chaos::DasHarness harness(hopts);
+  const std::ptrdiff_t threads_before = ThreadCount();
+  chaos::DasHarness harness;
   chaos::CampaignSpec spec;
   spec.seed = 7;
   spec.faults = 200;
@@ -214,6 +225,8 @@ TEST(ChaosCampaign, MiniCampaignRunsClean) {
   std::uint64_t rounds = 0;
   for (const chaos::WindowStat& w : report.windows) rounds += w.rounds;
   EXPECT_GT(rounds, 0u);
+  // Taken while the harness (and its runtime) is still alive.
+  EXPECT_EQ(ThreadCount(), threads_before);
 }
 
 }  // namespace

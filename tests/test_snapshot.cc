@@ -1,9 +1,9 @@
 // Page-granular checkpoint engine tests: diff-restore equivalence against
 // the full-copy engine (randomized mutation fuzz), zero-page elision,
-// baseline sharing, parallel hashing, size-mismatch error paths, and the
-// runtime-level properties the paper cares about — incremental reboots
-// moving a small fraction of the bytes, corrupt checkpoints failing the
-// reboot (not the process), and rejuvenation-time checkpoint refresh.
+// baseline sharing, size-mismatch error paths, and the runtime-level
+// properties the paper cares about — incremental reboots moving a small
+// fraction of the bytes, corrupt checkpoints failing the reboot (not the
+// process), and rejuvenation-time checkpoint refresh.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -35,12 +35,10 @@ using testing::TickerComponent;
 
 constexpr std::size_t kPage = Arena::kPageSize;
 
-SnapshotConfig IncrementalCfg(PageBaseline* baseline = nullptr,
-                              int workers = 0) {
+SnapshotConfig IncrementalCfg(PageBaseline* baseline = nullptr) {
   SnapshotConfig cfg;
   cfg.mode = SnapshotMode::kIncremental;
   cfg.baseline = baseline;
-  cfg.workers = workers;
   return cfg;
 }
 
@@ -210,30 +208,6 @@ TEST(SnapshotIncremental, BaselineSharesIdenticalPagesAcrossSnapshots) {
   EXPECT_EQ(std::memcmp(a.base(), image_a.data(), a.size()), 0);
 }
 
-// ------------------------------------------------------- parallel hashing
-
-TEST(SnapshotIncremental, ParallelHashPassIsDeterministic) {
-  Arena arena(512 * kPage);  // large enough to clear the per-worker floor
-  std::mt19937_64 rng(11);
-  FillRandom(arena, rng);
-  std::vector<std::byte> original(arena.base(), arena.base() + arena.size());
-
-  SnapshotStats serial, parallel;
-  Snapshot snap1 = Snapshot::Capture(arena, IncrementalCfg(nullptr, 0),
-                                     &serial);
-  Snapshot snap4 = Snapshot::Capture(arena, IncrementalCfg(nullptr, 4),
-                                     &parallel);
-  EXPECT_EQ(serial.pages_dirty, parallel.pages_dirty);
-  EXPECT_EQ(serial.pages_zero, parallel.pages_zero);
-
-  FillRandom(arena, rng);
-  ASSERT_TRUE(snap4.Restore(arena, IncrementalCfg(nullptr, 4)).ok());
-  EXPECT_EQ(std::memcmp(arena.base(), original.data(), arena.size()), 0);
-  FillRandom(arena, rng);
-  ASSERT_TRUE(snap1.Restore(arena, IncrementalCfg(nullptr, 4)).ok());
-  EXPECT_EQ(std::memcmp(arena.base(), original.data(), arena.size()), 0);
-}
-
 // -------------------------------------------------------- error surfaces
 
 TEST(SnapshotErrors, RestoreSizeMismatchIsStatusNotFatal) {
@@ -263,20 +237,18 @@ TEST(SnapshotErrors, RecaptureSizeMismatchIsStatusNotFatal) {
 // ---------------------------------------------------- runtime integration
 
 struct SnapRig {
-  explicit SnapRig(SnapshotMode mode, int workers = 0) : rt(Opts(mode,
-                                                                 workers)) {
+  explicit SnapRig(SnapshotMode mode) : rt(Opts(mode)) {
     counter = rt.AddComponent(std::make_unique<CounterComponent>());
     ticker = rt.AddComponent(std::make_unique<TickerComponent>());
     rt.AddAppDependency(counter);
     rt.AddAppDependency(ticker);
     rt.Boot();
   }
-  static RuntimeOptions Opts(SnapshotMode mode, int workers) {
+  static RuntimeOptions Opts(SnapshotMode mode) {
     RuntimeOptions o;
     o.mode = Mode::kVampOS;
     o.hang_threshold = 0;
     o.snapshot_mode = mode;
-    o.snapshot_workers = workers;
     return o;
   }
   std::uint64_t BytesCopied() {
@@ -374,20 +346,6 @@ TEST(SnapshotRuntime, FullCopyFallbackStillRecovers) {
   std::int64_t v = 0;
   RunApp(rig.rt, [&] { v = rig.rt.Call(get, {}).i64(); });
   EXPECT_EQ(v, 3);
-}
-
-TEST(SnapshotRuntime, ParallelWorkersRestoreIdentically) {
-  SnapRig rig(SnapshotMode::kIncremental, /*workers=*/4);
-  const FunctionId inc = rig.rt.Lookup("counter", "inc");
-  RunApp(rig.rt, [&] {
-    for (int i = 0; i < 7; ++i) rig.rt.Call(inc, {});
-  });
-  ASSERT_TRUE(rig.rt.Reboot(rig.counter).ok());
-  rig.rt.RunUntilIdle();
-  const FunctionId get = rig.rt.Lookup("counter", "get");
-  std::int64_t v = 0;
-  RunApp(rig.rt, [&] { v = rig.rt.Call(get, {}).i64(); });
-  EXPECT_EQ(v, 7);
 }
 
 // Rejuvenation-time checkpoint refresh: the replayed history is folded into

@@ -1,9 +1,9 @@
 // chaoscamp — seeded fault-injection campaign runner for the VampOS stack.
 //
 // Builds a live DasHarness (Nginx-style stack under dependency-aware
-// scheduling with concurrent recovery), generates a deterministic fault plan
-// from the seed, fires it burst by burst under real file + network traffic,
-// and writes the scored report.
+// scheduling), generates a deterministic fault plan from the seed, fires it
+// burst by burst under real file + network traffic, and writes the scored
+// report.
 //
 // Usage: chaoscamp [options]
 //   --seed N            campaign seed (default 1; VAMPOS_CHAOS_SEED overrides)
@@ -11,13 +11,10 @@
 //   --burst-percent P   percent of bursts with 2-3 simultaneous faults (35)
 //   --windows N         availability windows in the report (10)
 //   --hang-weight W     hang share out of 100 (8; hangs cost real wall time)
-//   --workers N         recovery worker pool size (4)
-//   --floor F           minimum per-window availability gate (default 0.0)
+//   --floor F           minimum per-window availability gate, 0..1 (0.0)
 //   --out PATH          write the JSON report
 //   --curve PATH        write the availability curve CSV
 //   --trace PATH        write the flight-recorder trace (vamptrace input)
-//   --burst-compare     also time a 4-components-down burst, serialized vs
-//                       concurrent, and report the wall-time ratio
 //   --adaptive          enable health telemetry + metric-driven rejuvenation
 //                       (report gains rejuvenation counts and per-window
 //                       worst-health-score)
@@ -31,13 +28,19 @@
 //
 // Exit status: 0 if the campaign is clean (every fired fault recovered, no
 // fail-stop, no replay divergence) and every window meets the floor;
-// 1 otherwise; 2 on usage errors.
+// 1 otherwise; 2 on usage errors, including a numeric flag whose value is
+// not wholly a number in the flag's range.
 
+#include <charconv>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <system_error>
 
 #include "chaos/chaos.h"
 
@@ -46,11 +49,30 @@ namespace {
 void Usage() {
   std::fprintf(stderr,
                "usage: chaoscamp [--seed N] [--faults N] [--burst-percent P]\n"
-               "                 [--windows N] [--hang-weight W] [--workers N]\n"
-               "                 [--floor F] [--out PATH] [--curve PATH]\n"
-               "                 [--trace PATH] [--burst-compare] [--adaptive]\n"
+               "                 [--windows N] [--hang-weight W] [--floor F]\n"
+               "                 [--out PATH] [--curve PATH] [--trace PATH]\n"
+               "                 [--adaptive]\n"
                "                 [--age-rounds N] [--age-bytes N]\n"
                "                 [--age-target NAME] [--metrics PATH]\n");
+}
+
+/// Parses the value of numeric flag `flag`. The whole string must be one
+/// number in [lo, hi] (NaN fails the range test); anything else is a usage
+/// error, so a typo can never silently become 0 and switch a gate off.
+template <typename T>
+T ParseNumber(const std::string& flag, const char* text, T lo, T hi) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    std::ostringstream range;
+    range << lo << ".." << hi;
+    std::fprintf(stderr,
+                 "chaoscamp: bad value '%s' for %s (want a number in %s)\n",
+                 text, flag.c_str(), range.str().c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 double Us(std::int64_t ns) { return static_cast<double>(ns) / 1e3; }
@@ -73,14 +95,14 @@ bool WriteWith(const char* path, const char* what,
 
 int main(int argc, char** argv) {
   vampos::chaos::CampaignSpec spec;
-  vampos::chaos::HarnessOptions hopts;
   double floor = 0.0;
   const char* out_path = nullptr;
   const char* curve_path = nullptr;
   const char* trace_path = nullptr;
   const char* metrics_path = nullptr;
   const char* age_target_name = nullptr;
-  bool burst_compare = false;
+  constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
+  constexpr auto kSizeMax = std::numeric_limits<std::size_t>::max();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -91,34 +113,32 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Plan and window tables are allocated up front, so their sizes are
+    // capped well below what would exhaust memory.
     if (arg == "--seed") {
-      spec.seed = std::strtoull(next(), nullptr, 10);
+      spec.seed = ParseNumber<std::uint64_t>(arg, next(), 0, kU64Max);
     } else if (arg == "--faults") {
-      spec.faults = std::strtoull(next(), nullptr, 10);
+      spec.faults = ParseNumber<std::size_t>(arg, next(), 0, 1000000);
     } else if (arg == "--burst-percent") {
-      spec.burst_percent = std::atoi(next());
+      spec.burst_percent = ParseNumber(arg, next(), 0, 100);
     } else if (arg == "--windows") {
-      spec.windows = std::strtoull(next(), nullptr, 10);
+      spec.windows = ParseNumber<std::size_t>(arg, next(), 1, 100000);
     } else if (arg == "--hang-weight") {
-      spec.hang_weight = std::atoi(next());
-    } else if (arg == "--workers") {
-      hopts.recovery_workers = std::atoi(next());
+      spec.hang_weight = ParseNumber(arg, next(), 0, 100);
     } else if (arg == "--floor") {
-      floor = std::atof(next());
+      floor = ParseNumber(arg, next(), 0.0, 1.0);
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--curve") {
       curve_path = next();
     } else if (arg == "--trace") {
       trace_path = next();
-    } else if (arg == "--burst-compare") {
-      burst_compare = true;
     } else if (arg == "--adaptive") {
       spec.adaptive = true;
     } else if (arg == "--age-rounds") {
-      spec.age_rounds = std::strtoull(next(), nullptr, 10);
+      spec.age_rounds = ParseNumber<std::size_t>(arg, next(), 0, kSizeMax);
     } else if (arg == "--age-bytes") {
-      spec.age_bytes = std::strtoull(next(), nullptr, 10);
+      spec.age_bytes = ParseNumber<std::size_t>(arg, next(), 1, kSizeMax);
     } else if (arg == "--age-target") {
       age_target_name = next();
     } else if (arg == "--metrics") {
@@ -133,7 +153,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  vampos::chaos::DasHarness harness(hopts);
+  vampos::chaos::DasHarness harness;
   if (age_target_name != nullptr) {
     bool found = false;
     for (std::size_t t = 0; t < harness.targets().size(); ++t) {
@@ -219,31 +239,6 @@ int main(int argc, char** argv) {
     harness.rt().metrics().WriteJson(f);
     std::fclose(f);
     std::printf("chaoscamp: wrote metrics to %s\n", metrics_path);
-  }
-
-  if (burst_compare) {
-    const auto cmp =
-        vampos::chaos::CompareBurstRecovery(hopts.recovery_workers);
-    const double speedup =
-        cmp.parallel_ns > 0
-            ? static_cast<double>(cmp.serialized_sum_ns) /
-                  static_cast<double>(cmp.parallel_ns)
-            : 0.0;
-    std::printf("burst-compare: components=%zu burst_wall=%.1fus "
-                "serialized_sum=%.1fus serial_run=%.1fus speedup=%.2fx "
-                "peak=%zu\n",
-                cmp.components, Us(cmp.parallel_ns),
-                Us(cmp.serialized_sum_ns), Us(cmp.serial_ns), speedup,
-                cmp.peak_concurrent);
-    if (cmp.peak_concurrent < 2) {
-      std::printf("chaoscamp: FAIL (burst never overlapped recoveries)\n");
-      return 1;
-    }
-    if (cmp.parallel_ns >= cmp.serialized_sum_ns) {
-      std::printf("chaoscamp: FAIL (burst wall time not below the "
-                  "serialized sum of its recoveries)\n");
-      return 1;
-    }
   }
 
   if (!report.clean()) {

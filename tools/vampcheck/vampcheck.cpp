@@ -2,7 +2,7 @@
 // docs/static-analysis.md for the workflow.
 //
 // Usage: vampcheck <pass> <root>...
-//   pass: layering | determinism | ownership | dirtywrite | all
+//   pass: layering | determinism | dirtywrite | all
 //   Each root is a source tree (typically the repo's src/). Findings go to
 //   stderr as <file>:<line>: error: [pass] ...
 //   Exit code: 0 clean, 1 violations found, 2 usage/IO error.
@@ -25,13 +25,12 @@ struct Pass {
 const Pass kPasses[] = {
     {"layering", vampcheck::RunLayering},
     {"determinism", vampcheck::RunDeterminism},
-    {"ownership", vampcheck::RunOwnership},
     {"dirtywrite", vampcheck::RunDirtyWrite},
 };
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: vampcheck <layering|determinism|ownership|dirtywrite"
+               "usage: vampcheck <layering|determinism|dirtywrite"
                "|all> <root>...\n");
   return 2;
 }

@@ -1,21 +1,17 @@
 // vampcheck — the static-analysis suite guarding VampOS's recovery
 // invariants (see docs/static-analysis.md). One dependency-free binary,
-// four passes:
+// three passes:
 //
 //   layering     include-graph layering rules (DESIGN.md §"Layering rules")
 //   determinism  no nondeterministic calls in component handler code
 //                (src/apps, src/comp) — replayed handlers must reproduce
 //                their logged return values bit-for-bit
-//   ownership    thread-ownership of runtime state under concurrent
-//                recovery, driven by the VAMP_* annotation macros in
-//                src/base/thread_annotations.h (DESIGN.md §8)
 //   dirtywrite   raw bulk writes into arena memory must stay inside the
 //                sanctioned DirtyTracker paths (or carry an adjacent
 //                MarkDirty), so WriteTracking claims stay honest
 //
 // Deliberately textual (no libclang): this tree's includes are always
-// root-relative layer paths, members follow the trailing-underscore naming
-// convention, and pool-side code is small and annotation-marked, so exact
+// root-relative layer paths and the banned calls are plain tokens, so exact
 // token scanning is reliable — and the analyzer builds in milliseconds with
 // nothing but a C++ compiler.
 //
@@ -70,7 +66,6 @@ int Report(const SourceFile& f, std::size_t idx, const std::string& pass,
 // returns the violation count (negative on usage/IO error).
 int RunLayering(const std::vector<std::filesystem::path>& roots);
 int RunDeterminism(const std::vector<std::filesystem::path>& roots);
-int RunOwnership(const std::vector<std::filesystem::path>& roots);
 int RunDirtyWrite(const std::vector<std::filesystem::path>& roots);
 
 }  // namespace vampcheck
