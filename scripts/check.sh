@@ -31,8 +31,9 @@ if [[ "$mode" != "--asan-only" ]]; then
 fi
 
 if [[ "$mode" != "--no-asan" ]]; then
-  # ucontext fiber switching: ASan handles swapcontext but must not use
-  # fake stacks across switches.
+  # The fiber switch tells ASan about every stack change
+  # (__sanitizer_start/finish_switch_fiber); fake stacks for
+  # use-after-return stay off all the same.
   export ASAN_OPTIONS="detect_stack_use_after_return=0:${ASAN_OPTIONS:-}"
   run_suite build-asan -DCMAKE_BUILD_TYPE=Asan
 fi

@@ -1,8 +1,12 @@
 #include "chaos/chaos.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
+#include <system_error>
 #include <utility>
 
 #include "base/clock.h"
@@ -12,12 +16,21 @@
 namespace vampos::chaos {
 
 std::uint64_t CampaignSpec::ResolvedSeed() const {
-  if (const char* env = std::getenv("VAMPOS_CHAOS_SEED")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env) return static_cast<std::uint64_t>(v);
+  const char* env = std::getenv("VAMPOS_CHAOS_SEED");
+  if (env == nullptr) return seed;
+  // The whole value must be one number: a typo must not quietly run a
+  // different campaign than the one it was meant to reproduce.
+  std::uint64_t value = 0;
+  const char* end = env + std::strlen(env);
+  const auto [ptr, ec] = std::from_chars(env, end, value);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr,
+                 "vampos: bad VAMPOS_CHAOS_SEED='%s' (expected a decimal "
+                 "number in 0..18446744073709551615)\n",
+                 env);
+    std::exit(2);
   }
-  return seed;
+  return value;
 }
 
 namespace {

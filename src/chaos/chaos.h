@@ -64,6 +64,8 @@ struct CampaignSpec {
   std::size_t age_target = 0;  // index into the harness target list
 
   /// Seed after the VAMPOS_CHAOS_SEED env override (bit-for-bit repro knob).
+  /// A value that is not wholly one unsigned decimal number exits with
+  /// status 2.
   [[nodiscard]] std::uint64_t ResolvedSeed() const;
 };
 

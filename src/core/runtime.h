@@ -637,7 +637,6 @@ class Runtime {
 
   void StopComponentFibers(ComponentId id, std::vector<RetryRecord>* inflight,
                            std::vector<RetryRecord>* queued);
-  void RestoreStateful(Slot& slot, RebootReport& report);
   void ReplayLog(ComponentId id, RebootReport& report);
   /// Snapshot knobs for this runtime: mode from RuntimeOptions, the
   /// shared baseline, and the runtime clock for the hash/copy phase split.

@@ -19,30 +19,33 @@ namespace vampos::mem {
 class Arena {
  public:
   /// Creates an arena of `size` bytes (rounded up to 4 KiB), zero-filled.
+  /// The pages are mapped lazily: one costs memory only once written.
+  /// Throws std::bad_alloc when the mapping fails.
   explicit Arena(std::size_t size, std::string name = "arena");
+  ~Arena();
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  [[nodiscard]] std::byte* base() { return storage_.get(); }
-  [[nodiscard]] const std::byte* base() const { return storage_.get(); }
+  [[nodiscard]] std::byte* base() { return base_; }
+  [[nodiscard]] const std::byte* base() const { return base_; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// True if [ptr, ptr+len) lies fully inside this arena.
   [[nodiscard]] bool Contains(const void* ptr, std::size_t len = 1) const {
     auto p = reinterpret_cast<std::uintptr_t>(ptr);
-    auto b = reinterpret_cast<std::uintptr_t>(storage_.get());
+    auto b = reinterpret_cast<std::uintptr_t>(base_);
     return p >= b && p + len <= b + size_;
   }
 
   /// Byte offset of an in-arena pointer.
   [[nodiscard]] std::size_t OffsetOf(const void* ptr) const {
     return static_cast<std::size_t>(static_cast<const std::byte*>(ptr) -
-                                    storage_.get());
+                                    base_);
   }
 
-  [[nodiscard]] void* AtOffset(std::size_t off) { return storage_.get() + off; }
+  [[nodiscard]] void* AtOffset(std::size_t off) { return base_ + off; }
 
   /// Attaches a write-time dirty-page tracker (idempotent). The tracker
   /// starts saturated: everything that happened before tracking began is
@@ -80,7 +83,7 @@ class Arena {
  private:
   std::size_t size_;
   std::string name_;
-  std::unique_ptr<std::byte[]> storage_;
+  std::byte* base_;  // private anonymous mapping of size_ bytes
   std::unique_ptr<DirtyTracker> tracker_;
   std::uint64_t generation_ = 1;
 };

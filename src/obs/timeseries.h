@@ -87,8 +87,15 @@ class WindowedSeries {
 
   /// Drops all history (e.g. after the component rebooted: its arena was
   /// rebuilt, so pre-reboot samples describe a process that no longer
-  /// exists).
-  void Reset() { started_ = false; }
+  /// exists). Every window is cleared, not just the open one: a stale
+  /// window whose epoch still lies within the ring would otherwise count
+  /// as closed history again as soon as the series restarts.
+  void Reset() {
+    started_ = false;
+    for (SeriesWindow& w : ring_) {
+      Clear(w, std::numeric_limits<std::int64_t>::min());  // never an epoch
+    }
+  }
 
   /// Number of *closed* windows available, newest first — at most
   /// `capacity() - 1` because the open window occupies one slot.

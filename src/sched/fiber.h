@@ -1,5 +1,5 @@
-// Cooperative fibers (ucontext-based) — the mechanism underneath VampOS's
-// per-component threads.
+// Cooperative fibers (an x86-64 register switch) — the mechanism underneath
+// VampOS's per-component threads.
 //
 // Each unikernel component is executed by its own fiber(s), never by the
 // caller's context (paper §V-A). The FiberManager provides only mechanism:
@@ -17,8 +17,6 @@
 // without unwinding; any arena-allocated state it leaked is reclaimed
 // wholesale by the arena snapshot restore.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <functional>
@@ -73,7 +71,7 @@ class Fiber {
   ComponentId owner_;
   std::function<void()> entry_;
   std::vector<std::byte> stack_;
-  ucontext_t ctx_{};
+  void* sp_ = nullptr;  // saved stack pointer while switched out
   FiberState state_ = FiberState::kReady;
   std::optional<ComponentFault> fault_;
   std::uint64_t dispatches_ = 0;
@@ -129,9 +127,10 @@ class FiberManager {
 
  private:
   friend class Fiber;
-  void SwitchToMain();
+  /// `finished` marks the fiber's last switch: it is never resumed.
+  void SwitchToMain(bool finished = false);
 
-  ucontext_t main_ctx_{};
+  void* main_sp_ = nullptr;  // main context's stack pointer while in a fiber
   Fiber* current_ = nullptr;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::uint64_t switches_ = 0;

@@ -196,8 +196,29 @@ TEST(ChaosPlan, EnvSeedOverridesSpec) {
   spec.seed = 7;
   ASSERT_EQ(setenv("VAMPOS_CHAOS_SEED", "123", 1), 0);
   EXPECT_EQ(spec.ResolvedSeed(), 123u);
+  // Both ends of the range are valid seeds.
+  ASSERT_EQ(setenv("VAMPOS_CHAOS_SEED", "0", 1), 0);
+  EXPECT_EQ(spec.ResolvedSeed(), 0u);
+  ASSERT_EQ(setenv("VAMPOS_CHAOS_SEED", "18446744073709551615", 1), 0);
+  EXPECT_EQ(spec.ResolvedSeed(), 18446744073709551615u);
   ASSERT_EQ(unsetenv("VAMPOS_CHAOS_SEED"), 0);
   EXPECT_EQ(spec.ResolvedSeed(), 7u);
+}
+
+// A malformed override is a usage error: "12x" must not run seed 12, and
+// "abc" must not fall back to the spec seed.
+TEST(ChaosPlanDeathTest, MalformedEnvSeedExitsWithUsageError) {
+  for (const char* bad : {"12x", "abc", "", " 5", "-1",
+                          "18446744073709551616"}) {
+    EXPECT_EXIT(
+        {
+          setenv("VAMPOS_CHAOS_SEED", bad, 1);
+          (void)chaos::CampaignSpec().ResolvedSeed();
+          std::exit(0);  // unreachable: ResolvedSeed must reject the value
+        },
+        ::testing::ExitedWithCode(2), "bad VAMPOS_CHAOS_SEED")
+        << "value '" << bad << "'";
+  }
 }
 
 // The acceptance mini-campaign: 200 seeded faults against the live stack,

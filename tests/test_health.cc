@@ -89,6 +89,21 @@ TEST(WindowedSeries, IdleGapLongerThanRingDiscardsAllHistory) {
   }
 }
 
+// A component that reboots mid-window restarts its series in the very next
+// window; none of the pre-reboot windows may count as its history.
+TEST(WindowedSeries, ResetDropsAllHistory) {
+  WindowedSeries s(1000, 4);
+  for (std::int64_t w = 0; w < 3; ++w) s.Record(w * 1000 + 500, 100);
+  EXPECT_EQ(s.closed(), 2u);
+  s.Reset();
+  EXPECT_EQ(s.closed(), 0u);
+  EXPECT_EQ(s.CountOver(100), 0u);
+  s.Record(3500, 7);
+  EXPECT_EQ(s.closed(), 0u);
+  EXPECT_EQ(s.CountOver(100), 1u);
+  EXPECT_EQ(s.Percentile(99, 100), 0.0);  // no closed window yet
+}
+
 TEST(WindowedSeries, NonMonotonicClockIsANoOp) {
   WindowedSeries s(1000, 4);
   s.Record(5500, 9);

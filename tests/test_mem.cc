@@ -2,7 +2,9 @@
 // exhaustion, fragmentation accounting, allocator-state-in-arena), snapshot
 // capture/restore, and the arena-backed STL adaptors.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -32,6 +34,22 @@ TEST(Arena, ContainsAndOffsets) {
   EXPECT_FALSE(arena.Contains(arena.base() + arena.size() - 1, 2));
   void* p = arena.AtOffset(100);
   EXPECT_EQ(arena.OffsetOf(p), 100u);
+}
+
+// Pages of `arena` that mincore() reports resident.
+std::size_t ResidentPages(Arena& arena) {
+  std::vector<unsigned char> in_core(arena.size() / Arena::kPageSize);
+  EXPECT_EQ(mincore(arena.base(), arena.size(), in_core.data()), 0);
+  return static_cast<std::size_t>(std::count_if(
+      in_core.begin(), in_core.end(), [](unsigned char v) { return v & 1; }));
+}
+
+// A reservation costs memory only for the pages a component writes.
+TEST(Arena, PagesAreNotResidentUntilWritten) {
+  Arena arena(64u << 20, "lazy");
+  EXPECT_EQ(ResidentPages(arena), 0u);
+  arena.base()[5 * Arena::kPageSize + 17] = std::byte{1};
+  EXPECT_EQ(ResidentPages(arena), 1u);
 }
 
 TEST(Buddy, AllocatesAndFrees) {
